@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, IptEvaluator}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -25,10 +25,12 @@ class Fig7RelativeIptBench extends BenchBase {
 
     for (d <- Datasets.queryable) {
       val edges = d.generate(spark, benchSf).cache()
+      val w     = Workloads.forDataset(d.name)
       try {
+        val weights = IptEvaluator.edgeWeights(edges, w)
         for (ord <- StreamOrder.all) {
           val rows = ExperimentRunner.compareSystems(
-            spark, d, edges, ord, Workloads.forDataset(d.name), k, benchWindow)
+            spark, d, edges, ord, w, k, benchWindow, weights = Some(weights))
           val rel = ExperimentRunner.relativeToHash(rows)
           rel.foreach { case (r, pct) =>
             lines += f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s " +

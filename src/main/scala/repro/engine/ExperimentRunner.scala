@@ -68,16 +68,23 @@ object ExperimentRunner {
     (vs.size.toLong, stream.size.toLong)
   }
 
-  /** Run all four systems over one (dataset, order, k) and measure ipt. */
+  /** Run all four systems over one (dataset, order, k) and measure ipt.
+    * `weights` is the weight table of (`edgesDf`, `workload`) when the caller
+    * already has it (sweeps over orders, k or windows share one); otherwise
+    * it is built here, once for all systems.
+    */
   def compareSystems(spark: SparkSession, dataset: Dataset, edgesDf: DataFrame,
                      order: StreamOrder.Order, workload: Workload, k: Int,
                      windowSize: Int, systems: Vector[String] = Systems,
-                     seed: Long = 11L): Vector[IptRow] = {
+                     seed: Long = 11L,
+                     weights: Option[IptEvaluator.EdgeWeights] = None): Vector[IptRow] = {
+    val table = weights.getOrElse(IptEvaluator.edgeWeights(edgesDf, workload))
+    require(table.workload == workload, "the weight table was built for another workload")
     val stream = StreamOrder.stream(edgesDf, order, seed)
     val (n, m) = graphStats(stream)
     systems.map { sys =>
       val run = partition(sys, stream, k, n, m, workload, windowSize)
-      val res = IptEvaluator.evaluate(spark, edgesDf, run.pmap, workload)
+      val res = table.score(run.pmap)
       IptRow(dataset.name, order.name, sys, k, res.totalWeightedIpt,
              res.totalMatches, run.imbalance, run.msPer10k)
     }

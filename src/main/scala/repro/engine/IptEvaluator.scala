@@ -12,6 +12,14 @@ import repro.core.Model._
   * sub-graph) is inspected: each matched data edge whose endpoints live in
   * different partitions costs one ipt. Per-query totals are weighted by the
   * query's relative frequency in the workload.
+  *
+  * ipt is linear in the per-edge cut flags:
+  * Σ_q f_q Σ_{match R of q} Σ_{e∈R} cut(e) = Σ_e cut(e)·w(e), with
+  * w(e) = Σ_q f_q·c_q(e), where c_q(e) is the number of distinct matches of q
+  * that contain e. The counts depend only on the graph and the workload, so
+  * [[edgeWeights]] computes them once with Spark, and [[EdgeWeights.score]]
+  * scores any partitioning of that graph with one driver-side loop over the
+  * matched edges.
   */
 object IptEvaluator {
 
@@ -27,47 +35,64 @@ object IptEvaluator {
     def totalMatches: Long       = perQuery.map(_.matchCount).sum
   }
 
-  /** Build the vertex→partition DataFrame `(vid, pid)` from a driver map. */
-  def partitionDf(spark: SparkSession, pmap: Map[VId, Int]): DataFrame = {
-    import spark.implicits._
-    pmap.toSeq.toDF("vid", "pid")
-  }
-
-  /** ipt of one query over the partitioned graph.
-    *
-    * `matches` rows carry the canonical edge array; exploding it and joining
-    * the partition map on both endpoints yields per-edge crossing flags.
+  /** The weight table of one (graph, workload): data edge `(xs(i), ys(i))`
+    * lies in `counts(q)(i)` distinct matches of the workload's query q. Only
+    * edges matched by some query appear.
     */
-  def queryIpt(edges: DataFrame, pmapDf: DataFrame, q: QueryGraph): (Long, Long) = {
-    val ms = PatternMatcher.matches(edges, q).cache()
-    try {
-      val cnt = ms.count()
-      if (cnt == 0) (0L, 0L)
-      else {
-        val exploded = ms.select(explode(col("edges")) as "e")
-          .select(col("e.x") as "x", col("e.y") as "y")
-        val pm1 = pmapDf.select(col("vid") as "xv", col("pid") as "xp")
-        val pm2 = pmapDf.select(col("vid") as "yv", col("pid") as "yp")
-        val ipt = exploded
-          .join(pm1, col("x") === col("xv"))
-          .join(pm2, col("y") === col("yv"))
-          .select(sum(when(col("xp") =!= col("yp"), 1L).otherwise(0L)) as "ipt")
-          .collect()(0).getLong(0)
-        (cnt, ipt)
+  final class EdgeWeights(val workload: Workload, xs: Array[VId], ys: Array[VId],
+                          counts: Vector[Array[Long]]) {
+
+    /** Distinct matches per query. A match of q holds |E(q)| distinct data
+      * edges, so Σ_e c_q(e) = matches·|E(q)|.
+      */
+    val matchCounts: Vector[Long] = workload.queries.zip(counts).map { case ((q, _), c) =>
+      val total = c.sum
+      require(total % q.numEdges == 0,
+              s"edge-match counts of $q sum to $total, not a multiple of ${q.numEdges}")
+      total / q.numEdges
+    }
+
+    /** ipt of `pmap`, which must place every vertex of every matched edge. */
+    def score(pmap: Map[VId, Int]): WorkloadIpt = {
+      def part(v: VId): Int = pmap.getOrElse(v, throw new IllegalArgumentException(
+        s"vertex $v lies on a matched edge but has no partition in the map"))
+      val ipt = new Array[Long](counts.size)
+      var i = 0
+      while (i < xs.length) {
+        if (part(xs(i)) != part(ys(i))) {
+          var q = 0
+          while (q < ipt.length) { ipt(q) += counts(q)(i); q += 1 }
+        }
+        i += 1
       }
-    } finally ms.unpersist()
+      WorkloadIpt(workload.queries.zipWithIndex.map { case ((_, f), q) =>
+        QueryIpt(q, f, matchCounts(q), ipt(q))
+      })
+    }
   }
 
-  /** ipt of a full workload over a partitioning. */
-  def evaluate(spark: SparkSession, edges: DataFrame, pmap: Map[VId, Int],
-               workload: Workload): WorkloadIpt = {
-    val pmapDf = partitionDf(spark, pmap).cache()
-    try {
-      val per = workload.queries.zipWithIndex.map { case ((q, f), i) =>
-        val (cnt, ipt) = queryIpt(edges, pmapDf, q)
-        QueryIpt(i, f, cnt, ipt)
-      }
-      WorkloadIpt(per)
-    } finally pmapDf.unpersist()
+  /** Build the weight table of `workload` over the edge DataFrame `edges`:
+    * the canonical edges of every query's distinct matches, counted per edge
+    * and query in one Spark aggregation.
+    */
+  def edgeWeights(edges: DataFrame, workload: Workload): EdgeWeights = {
+    val nq = workload.queries.size
+    val matchedEdges = workload.queries.zipWithIndex.map { case ((q, _), i) =>
+      PatternMatcher.matches(edges, q)
+        .select(lit(i) as "q", explode(col("edges")) as "e")
+        .select(col("q"), col("e.x") as "x", col("e.y") as "y")
+    }.reduce(_ union _)
+    val perQuery = (0 until nq).map(i => count(when(col("q") === i, true)) as s"c$i")
+    val rows = matchedEdges.groupBy("x", "y").agg(perQuery.head, perQuery.tail: _*).collect()
+    new EdgeWeights(workload, rows.map(_.getLong(0)), rows.map(_.getLong(1)),
+                    Vector.tabulate(nq)(i => rows.map(_.getLong(2 + i))))
   }
+
+  /** ipt of a full workload over a partitioning: build the weight table and
+    * score one map. To score several maps of one graph, build the table once
+    * with [[edgeWeights]] and call [[EdgeWeights.score]] per map.
+    */
+  def evaluate(spark: SparkSession, edges: DataFrame, pmap: Map[VId, Int],
+               workload: Workload): WorkloadIpt =
+    edgeWeights(edges, workload).score(pmap)
 }

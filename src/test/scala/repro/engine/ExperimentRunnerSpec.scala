@@ -32,6 +32,24 @@ class ExperimentRunnerSpec extends SparkSpec {
            s"match counts differ: ${rows.map(r => r.system -> r.matches)}")
   }
 
+  test("a precomputed weight table gives the rows of a per-call one") {
+    val shared = ExperimentRunner.compareSystems(
+      spark, d, edges, StreamOrder.Bfs, w, k = 4, windowSize = 200,
+      weights = Some(IptEvaluator.edgeWeights(edges, w)))
+    assert(shared.map(r => (r.system, r.weightedIpt, r.matches, r.imbalance)) ==
+           rows.map(r => (r.system, r.weightedIpt, r.matches, r.imbalance)))
+  }
+
+  test("compareSystems rejects a weight table of another workload") {
+    val other = Workloads.forDataset(Datasets.dblp.name)
+    val empty = new IptEvaluator.EdgeWeights(other, Array.empty, Array.empty,
+                                             Vector.fill(other.queries.size)(Array.empty))
+    intercept[IllegalArgumentException] {
+      ExperimentRunner.compareSystems(spark, d, edges, StreamOrder.Bfs, w, k = 4,
+        windowSize = 200, weights = Some(empty))
+    }
+  }
+
   test("relativeToHash normalises Hash to 100%") {
     val rel = ExperimentRunner.relativeToHash(rows)
     val hashRel = rel.find(_._1.system == "Hash").get._2

@@ -1,9 +1,12 @@
 package repro.engine
 
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
+import org.apache.spark.sql.functions._
+import repro.{Oracle, SparkSpec}
 import repro.core.Model._
 import repro.core.NaiveIso
+import repro.graphgen.Datasets
+import repro.workloads.Workloads
 
 /** ipt measurement tests, including the paper's §1 motivating example. */
 class IptEvaluatorSpec extends SparkSpec {
@@ -14,11 +17,93 @@ class IptEvaluatorSpec extends SparkSpec {
     es.map(e => (e.u, e.uLabel, e.v, e.vLabel)).toDF("u", "ul", "v", "vl")
   }
 
+  private def pmapDf(pmap: Map[VId, Int]): DataFrame = {
+    import spark.implicits._
+    pmap.toSeq.toDF("vid", "pid")
+  }
+
+  /** Crossing edges summed over the given matches. */
+  private def crossings(ms: Vector[Set[(VId, VId)]], pmap: Map[VId, Int]): Long =
+    ms.map(_.count { case (x, y) => pmap(x) != pmap(y) }.toLong).sum
+
   /** Brute-force ipt for cross-checking. */
   private def bruteIpt(es: Vector[LEdge], pmap: Map[VId, Int], q: QueryGraph): Long =
-    NaiveIso.matches(q, SubGraph(es.toSet)).map { edges =>
-      edges.count { case (x, y) => pmap(x) != pmap(y) }.toLong
-    }.sum
+    crossings(NaiveIso.matches(q, SubGraph(es.toSet)), pmap)
+
+  /** `(matches, ipt)` of one query through the weight table. */
+  private def tableIpt(es: Vector[LEdge], pmap: Map[VId, Int], q: QueryGraph): (Long, Long) = {
+    val r = IptEvaluator.edgeWeights(edgesDf(es), Workload(Vector(q -> 1.0))).score(pmap).perQuery.head
+    (r.matchCount, r.ipt)
+  }
+
+  /** Reference: the join-based per-query scoring that the weight table
+    * replaced. It re-runs the match for every map, explodes each match's
+    * edges and inner-joins the vertex→partition map on both endpoints.
+    */
+  private def joinIpt(edges: DataFrame, pmap: Map[VId, Int], q: QueryGraph): (Long, Long) = {
+    val pm = pmapDf(pmap)
+    val ms = PatternMatcher.matches(edges, q).cache()
+    try {
+      val cnt = ms.count()
+      if (cnt == 0) (0L, 0L)
+      else {
+        val exploded = ms.select(explode(col("edges")) as "e")
+          .select(col("e.x") as "x", col("e.y") as "y")
+        val pm1 = pm.select(col("vid") as "xv", col("pid") as "xp")
+        val pm2 = pm.select(col("vid") as "yv", col("pid") as "yp")
+        val ipt = exploded
+          .join(pm1, col("x") === col("xv"))
+          .join(pm2, col("y") === col("yv"))
+          .select(sum(when(col("xp") =!= col("yp"), 1L).otherwise(0L)) as "ipt")
+          .collect()(0).getLong(0)
+        (cnt, ipt)
+      }
+    } finally ms.unpersist()
+  }
+
+  /** Score every map with one weight table of (`es`, `w`) and check each
+    * query's result against brute force, the join-based reference, DuckDB's
+    * `countSql` and `PatternMatcher.matchCount`.
+    */
+  private def differential(es: Vector[LEdge], w: Workload, pmaps: Seq[Map[VId, Int]]): Unit = {
+    val df = edgesDf(es).cache()
+    try {
+      val table = IptEvaluator.edgeWeights(df, w)
+      val brute = w.queries.map { case (q, _) => NaiveIso.matches(q, SubGraph(es.toSet)) }
+      w.queries.zipWithIndex.foreach { case ((q, _), i) =>
+        assert(table.matchCounts(i) == PatternMatcher.matchCount(df, q), s"query $i")
+        assert(table.matchCounts(i) == brute(i).size, s"query $i")
+      }
+      df.createOrReplaceTempView("edges")
+      pmaps.zipWithIndex.foreach { case (pmap, m) =>
+        val res = table.score(pmap)
+        val pm  = pmapDf(pmap)
+        pm.createOrReplaceTempView("pmap")
+        w.queries.zipWithIndex.foreach { case ((q, _), i) =>
+          val r   = res.perQuery(i)
+          val ctx = s"map $m query $i"
+          assert(r.ipt == crossings(brute(i), pmap), ctx)
+          assert((r.matchCount, r.ipt) == joinIpt(df, pmap, q), ctx)
+          // DuckDB counts every match once per label-preserving automorphism,
+          // so its ipt and ours differ by the same factor as the counts.
+          val sql   = PatternMatcher.countSql(q)
+          val sqlDf = spark.sql(sql)
+          Oracle.assertEquivalent(sqlDf, sql, "edges" -> df, "pmap" -> pm)
+          val row = sqlDf.collect()(0)
+          val (emb, iptSql) = (row.getLong(0), row.getLong(1))
+          assert(BigInt(iptSql) * r.matchCount == BigInt(r.ipt) * emb, ctx)
+          assert((emb == 0) == (r.matchCount == 0), ctx)
+        }
+      }
+    } finally df.unpersist()
+  }
+
+  /** One random k-way map over the vertices of `es` per k in `ks`. */
+  private def randomMaps(es: Vector[LEdge], ks: Seq[Int], seed: Int): Seq[Map[VId, Int]] = {
+    val rnd   = new scala.util.Random(seed)
+    val verts = es.flatMap(e => Seq(e.u, e.v)).distinct
+    ks.map(k => verts.map(v => v -> rnd.nextInt(k)).toMap)
+  }
 
   /** The paper's §1 example, reconstructed: q2 (a-b-a) matches {(1,2),(2,3)}
     * and {(6,2),(2,3)}; partitioning {A,B} splits both matches while
@@ -30,11 +115,12 @@ class IptEvaluatorSpec extends SparkSpec {
     LEdge(7, "c", 8, "c"), LEdge(6, "a", 8, "c"),
   )
   private val q2 = path("a", "b", "a")
+  private val gPatterns = Vector(q2, singleEdge("a", "b"), path("a", "c", "c"), path("c", "c", "c"))
 
   test("paper §1: min edge-cut partitioning suffers ipt on every q2 match") {
     // {A, B} = {1,2,3,4} | {5,6,7,8}: good edge-cut, but splits q2's matches.
     val ab = Map(1L -> 0, 2L -> 0, 3L -> 0, 4L -> 0, 5L -> 1, 6L -> 1, 7L -> 1, 8L -> 1)
-    val (cnt, ipt) = IptEvaluator.queryIpt(edgesDf(g), IptEvaluator.partitionDf(spark, ab), q2)
+    val (cnt, ipt) = tableIpt(g, ab, q2)
     assert(cnt == 3) // {(1,2),(2,3)}, {(6,2),(2,3)}, {(1,2),(2,6)}
     assert(ipt == bruteIpt(g, ab, q2))
     assert(ipt >= 2, s"the workload-agnostic split must pay ipt, got $ipt")
@@ -42,23 +128,30 @@ class IptEvaluatorSpec extends SparkSpec {
 
   test("paper §1: the workload-aware partitioning A'B' gives 0 ipt for q2") {
     val aPrime = Map(1L -> 0, 2L -> 0, 3L -> 0, 6L -> 0, 4L -> 1, 5L -> 1, 7L -> 1, 8L -> 1)
-    val (cnt, ipt) = IptEvaluator.queryIpt(edgesDf(g), IptEvaluator.partitionDf(spark, aPrime), q2)
+    val (cnt, ipt) = tableIpt(g, aPrime, q2)
     assert(cnt == 3)
     assert(ipt == 0, "A'={1,2,3,6} keeps every a-b-a match internal")
   }
 
   test("ipt equals brute force for assorted partitionings and patterns") {
-    val rnd = new scala.util.Random(3)
-    val verts = g.flatMap(e => Seq(e.u, e.v)).distinct
-    (1 to 5).foreach { trial =>
-      val pmap = verts.map(v => v -> rnd.nextInt(3)).toMap
-      Vector(q2, singleEdge("a", "b"), path("a", "c", "c"), path("c", "c", "c"))
-        .foreach { q =>
-          val (_, ipt) = IptEvaluator.queryIpt(edgesDf(g),
-            IptEvaluator.partitionDf(spark, pmap), q)
-          assert(ipt == bruteIpt(g, pmap, q), s"trial $trial pattern $q")
-        }
+    val table = IptEvaluator.edgeWeights(edgesDf(g), Workload(gPatterns.map(_ -> 1.0)))
+    randomMaps(g, Seq.fill(5)(3), seed = 3).zipWithIndex.foreach { case (pmap, trial) =>
+      val res = table.score(pmap)
+      gPatterns.zipWithIndex.foreach { case (q, i) =>
+        assert(res.perQuery(i).ipt == bruteIpt(g, pmap, q), s"trial $trial pattern $q")
+      }
     }
+  }
+
+  test("weight-table ipt equals brute force, the join reference and DuckDB on the §1 graph") {
+    differential(g, Workload(gPatterns.map(_ -> 1.0)), randomMaps(g, Seq(2, 3, 4), seed = 5))
+  }
+
+  test("weight-table ipt equals brute force, the join reference and DuckDB on ProvGen") {
+    val es = Datasets.provgen.generate(spark, 0.03).collect().toVector.map { r =>
+      LEdge(r.getAs[Long]("u"), r.getAs[String]("ul"), r.getAs[Long]("v"), r.getAs[String]("vl"))
+    }
+    differential(es, Workloads.provgen, randomMaps(es, Seq(2, 4, 8), seed = 11))
   }
 
   test("workload evaluation weights per-query ipt by frequency") {
@@ -85,5 +178,12 @@ class IptEvaluatorSpec extends SparkSpec {
       Workload(Vector(q2 -> 1.0, path("c", "c", "c") -> 1.0)))
     assert(res.totalWeightedIpt == 0.0)
     assert(res.totalMatches > 0)
+  }
+
+  test("score rejects a map that leaves a vertex of a matched edge unplaced") {
+    val table = IptEvaluator.edgeWeights(edgesDf(g), Workload(Vector(q2 -> 1.0)))
+    val noSix = Map(1L -> 0, 2L -> 0, 3L -> 1, 4L -> 1, 5L -> 1, 7L -> 1, 8L -> 1)
+    val err = intercept[IllegalArgumentException](table.score(noSix))
+    assert(err.getMessage.contains("vertex 6"), err.getMessage)
   }
 }

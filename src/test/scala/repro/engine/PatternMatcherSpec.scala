@@ -18,6 +18,12 @@ class PatternMatcherSpec extends SparkSpec {
     es.map(e => (e.u, e.uLabel, e.v, e.vLabel)).toDF("u", "ul", "v", "vl")
   }
 
+  /** The vertex→partition table `(vid, pid)` that `countSql` joins. */
+  private def pmapDf(pmap: Map[VId, Int]): DataFrame = {
+    import spark.implicits._
+    pmap.toSeq.toDF("vid", "pid")
+  }
+
   /** The paper's Fig. 1-style example fragment: vertices 1,3,6 labelled a;
     * 2 labelled b; plus a small b-side tail.
     */
@@ -88,8 +94,7 @@ class PatternMatcherSpec extends SparkSpec {
 
   test("countSql is validated by the DuckDB oracle on the fig1 fragment") {
     val df   = edgesDf(fig1)
-    val pmap = IptEvaluator.partitionDf(spark,
-      Map(1L -> 0, 2L -> 0, 3L -> 0, 4L -> 1, 5L -> 1, 6L -> 1))
+    val pmap = pmapDf(Map(1L -> 0, 2L -> 0, 3L -> 0, 4L -> 1, 5L -> 1, 6L -> 1))
     df.createOrReplaceTempView("edges")
     pmap.createOrReplaceTempView("pmap")
     Vector(singleEdge("a", "b"), path("a", "b", "a"), path("a", "b", "a", "b"))
@@ -103,7 +108,7 @@ class PatternMatcherSpec extends SparkSpec {
     val df = Datasets.provgen.generate(spark, 0.01).cache()
     try {
       val vids = df.select("u").union(df.select("v")).distinct().collect().map(_.getLong(0))
-      val pm   = IptEvaluator.partitionDf(spark, vids.map(v => v -> (v % 4).toInt).toMap)
+      val pm   = pmapDf(vids.map(v => v -> (v % 4).toInt).toMap)
       df.createOrReplaceTempView("edges")
       pm.createOrReplaceTempView("pmap")
       Workloads.provgen.queries.foreach { case (q, _) =>
@@ -115,7 +120,7 @@ class PatternMatcherSpec extends SparkSpec {
 
   test("countSql embedding counts agree with the DataFrame API embeddings") {
     val df   = edgesDf(fig1)
-    val pmap = IptEvaluator.partitionDf(spark, (1L to 6L).map(_ -> 0).toMap)
+    val pmap = pmapDf((1L to 6L).map(_ -> 0).toMap)
     df.createOrReplaceTempView("edges")
     pmap.createOrReplaceTempView("pmap")
     Vector(path("a", "b", "a"), path("b", "a", "b"), singleEdge("a", "b")).foreach { q =>
