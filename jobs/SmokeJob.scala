@@ -28,6 +28,9 @@ object SmokeJob {
               f"abs=${r.weightedIpt}%12.0f imb=${r.imbalance}%6.3f ms/10k=${r.msPer10k}%8.1f")
     }
     println(f"total ${(System.nanoTime() - t0) / 1e9}%.1f s")
+    println("ms/10k above: wall time inside compareSystems, which runs the partitioners " +
+            "while Spark builds the weight table when it is not given one; Table 2 " +
+            "figures come from ExperimentRunner.partition run alone (Table2TimingBench)")
     // Per-query breakdown + Loom internals across window sizes.
     val stream = StreamOrder.stream(edges, ord)
     val (n, m) = ExperimentRunner.graphStats(stream)

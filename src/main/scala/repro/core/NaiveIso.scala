@@ -67,16 +67,22 @@ object NaiveIso {
       .distinct
 
   /** True iff q occurs as a sub-graph of the (small) pattern graph big. */
-  def containedIn(q: QueryGraph, big: QueryGraph): Boolean = {
-    // Treat `big` as a data graph with vertex ids 0..n-1.
-    val g = SubGraph(big.edges.map { case (a, b) =>
-      LEdge(a.toLong, big.labels(a), b.toLong, big.labels(b))
+  def containedIn(q: QueryGraph, big: QueryGraph): Boolean =
+    embeddings(q, asGraph(big)).nonEmpty
+
+  /** |Aut(q)|: the number of label-preserving automorphisms of q, i.e. of
+    * embeddings of q into itself. Every distinct match of q in a data graph
+    * is the image of exactly this many embeddings.
+    */
+  def automorphismCount(q: QueryGraph): Int = embeddings(q, asGraph(q)).size
+
+  /** `q` as a data graph with vertex ids 0..n-1. A vertex of q that lies on
+    * no edge is left out; the QueryGraph constructors produce none.
+    */
+  private def asGraph(q: QueryGraph): SubGraph =
+    SubGraph(q.edges.map { case (a, b) =>
+      LEdge(a.toLong, q.labels(a), b.toLong, q.labels(b))
     }.toSet)
-    // Isolated vertices in `big` can't matter: q has no isolated vertices
-    // (every QueryGraph edge covers its endpoints) unless numVertices exceeds
-    // edge coverage, which our constructors do not produce.
-    embeddings(q, g).nonEmpty
-  }
 
   private def adjacency(q: QueryGraph): Map[Int, Set[Int]] = {
     val m = scala.collection.mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
@@ -100,10 +106,7 @@ object NaiveIso {
               case (Some(x), Some(y)) => adj2(x).contains(y)
               case _                  => true
             }
-          } &&
-          // edge-count preservation: isomorphism also requires no extra edges,
-          // which holds automatically since |E| matches and q1-edges all map.
-          true
+          }
         }
         .map(v => extend(q1, q2, adj2, mapping + (next -> v), next + 1))
         .collectFirst { case Some(m) => m }

@@ -3,6 +3,7 @@ package repro.engine
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Model._
+import repro.core.NaiveIso
 
 /** Measures partitioning quality as the paper does (§1.3, §5): the number of
   * inter-partition traversals (ipt) incurred when executing a pattern-match
@@ -20,6 +21,12 @@ import repro.core.Model._
   * [[edgeWeights]] computes them once with Spark, and [[EdgeWeights.score]]
   * scores any partitioning of that graph with one driver-side loop over the
   * matched edges.
+  *
+  * The table is counted from embeddings, without deduplicating them into
+  * matches: each distinct match of q is the image of exactly |Aut(q)|
+  * label-preserving embeddings, and each embedding maps exactly one pattern
+  * edge onto each edge of its match, so c_q(e) is the number of
+  * embedding-edge incidences at e divided by |Aut(q)|.
   */
 object IptEvaluator {
 
@@ -39,8 +46,9 @@ object IptEvaluator {
     * lies in `counts(q)(i)` distinct matches of the workload's query q. Only
     * edges matched by some query appear.
     */
-  final class EdgeWeights(val workload: Workload, xs: Array[VId], ys: Array[VId],
-                          counts: Vector[Array[Long]]) {
+  final class EdgeWeights(val workload: Workload, private[engine] val xs: Array[VId],
+                          private[engine] val ys: Array[VId],
+                          private[engine] val counts: Vector[Array[Long]]) {
 
     /** Distinct matches per query. A match of q holds |E(q)| distinct data
       * edges, so Σ_e c_q(e) = matches·|E(q)|.
@@ -71,21 +79,32 @@ object IptEvaluator {
     }
   }
 
-  /** Build the weight table of `workload` over the edge DataFrame `edges`:
-    * the canonical edges of every query's distinct matches, counted per edge
-    * and query in one Spark aggregation.
+  /** Build the weight table of `workload` over the edge DataFrame `edges`,
+    * which holds each undirected edge once: every query's embeddings are
+    * exploded into the canonical data edges their pattern edges map onto,
+    * counted per edge and query in one Spark aggregation, and each count is
+    * divided by the query's |Aut(q)| (computed on the driver with
+    * [[NaiveIso.automorphismCount]]).
     */
   def edgeWeights(edges: DataFrame, workload: Workload): EdgeWeights = {
-    val nq = workload.queries.size
-    val matchedEdges = workload.queries.zipWithIndex.map { case ((q, _), i) =>
-      PatternMatcher.matches(edges, q)
-        .select(lit(i) as "q", explode(col("edges")) as "e")
+    val nq   = workload.queries.size
+    val auts = workload.queries.map { case (q, _) => NaiveIso.automorphismCount(q) }
+    val incidences = workload.queries.zipWithIndex.map { case ((q, _), i) =>
+      PatternMatcher.embeddings(edges, q)
+        .select(lit(i) as "q", explode(array(PatternMatcher.embeddedEdges(q): _*)) as "e")
         .select(col("q"), col("e.x") as "x", col("e.y") as "y")
     }.reduce(_ union _)
     val perQuery = (0 until nq).map(i => count(when(col("q") === i, true)) as s"c$i")
-    val rows = matchedEdges.groupBy("x", "y").agg(perQuery.head, perQuery.tail: _*).collect()
-    new EdgeWeights(workload, rows.map(_.getLong(0)), rows.map(_.getLong(1)),
-                    Vector.tabulate(nq)(i => rows.map(_.getLong(2 + i))))
+    val rows = incidences.groupBy("x", "y").agg(perQuery.head, perQuery.tail: _*).collect()
+    val counts = Vector.tabulate(nq) { i =>
+      rows.map { r =>
+        val c = r.getLong(2 + i)
+        require(c % auts(i) == 0, s"edge (${r.getLong(0)},${r.getLong(1)}) has $c embedding " +
+          s"incidences of ${workload.queries(i)._1}, not a multiple of |Aut(q)| = ${auts(i)}")
+        c / auts(i)
+      }
+    }
+    new EdgeWeights(workload, rows.map(_.getLong(0)), rows.map(_.getLong(1)), counts)
   }
 
   /** ipt of a full workload over a partitioning: build the weight table and

@@ -66,24 +66,27 @@ object PatternMatcher {
     }
 
     // Injectivity: distinct pattern vertices map to distinct data vertices.
+    // One conjunctive filter, so the plan is analysed once, not per pair.
     val verts = (0 until q.numVertices).toVector
-    for (x <- verts; y <- verts if x < y)
-      acc = acc.where(col(bound(x)) =!= col(bound(y)))
-
-    acc.select(verts.map(i => col(bound(i)) as s"p$i"): _*)
+    val injective = for (x <- verts; y <- verts if x < y) yield col(bound(x)) =!= col(bound(y))
+    acc.where(injective.reduce(_ && _))
+      .select(verts.map(i => col(bound(i)) as s"p$i"): _*)
   }
+
+  /** Over the columns of [[embeddings]]: one `struct<x,y>` per pattern edge
+    * of q, the canonical (smaller id first) data edge it is mapped onto.
+    */
+  private[engine] def embeddedEdges(q: QueryGraph): Vector[Column] =
+    q.edges.map { case (a, b) =>
+      struct(least(col(s"p$a"), col(s"p$b")) as "x",
+             greatest(col(s"p$a"), col(s"p$b")) as "y")
+    }
 
   /** Distinct matches of q: one row per matched sub-graph, with the column
     * `edges: array<struct<x,y>>` holding the canonical sorted edge list.
     */
-  def matches(edges: DataFrame, q: QueryGraph): DataFrame = {
-    val emb = embeddings(edges, q)
-    val edgeStructs = q.edges.map { case (a, b) =>
-      struct(least(col(s"p$a"), col(s"p$b")) as "x",
-             greatest(col(s"p$a"), col(s"p$b")) as "y")
-    }
-    emb.select(array_sort(array(edgeStructs: _*)) as "edges").distinct()
-  }
+  def matches(edges: DataFrame, q: QueryGraph): DataFrame =
+    embeddings(edges, q).select(array_sort(array(embeddedEdges(q): _*)) as "edges").distinct()
 
   /** Number of distinct matches of q in the graph. */
   def matchCount(edges: DataFrame, q: QueryGraph): Long = matches(edges, q).count()

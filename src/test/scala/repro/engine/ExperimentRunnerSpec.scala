@@ -1,15 +1,21 @@
 package repro.engine
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
+import repro.core.Model.{QueryGraph, Workload}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
 /** End-to-end harness tests at tiny scale: all four systems partition a
   * generated dataset and are scored against its workload.
   */
-class ExperimentRunnerSpec extends SparkSpec {
+class ExperimentRunnerSpec extends SparkSpec with TimeLimits {
 
   private val sf = 0.03
+
+  // A call that outlives its time limit is interrupted, so a hang fails.
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private lazy val d      = Datasets.provgen
   private lazy val edges  = d.generate(spark, sf).cache()
@@ -47,6 +53,31 @@ class ExperimentRunnerSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       ExperimentRunner.compareSystems(spark, d, edges, StreamOrder.Bfs, w, k = 4,
         windowSize = 200, weights = Some(empty))
+    }
+  }
+
+  test("an error on the calling thread surfaces at once while the table is built") {
+    // makePartitioner throws after the stream is ordered, with the table
+    // build still in flight; the build must not be awaited.
+    val err = failAfter(Span(60, Seconds)) {
+      intercept[RuntimeException] {
+        ExperimentRunner.compareSystems(spark, d, edges, StreamOrder.Bfs, w, k = 4,
+          windowSize = 200, systems = Vector("Nope"))
+      }
+    }
+    assert(err.getMessage == "unknown system Nope")
+  }
+
+  test("an exception from the table build surfaces from compareSystems") {
+    // PatternMatcher cannot plan a pattern vertex that lies on no edge;
+    // Hash ignores the workload, so only the build fails.
+    val isolated = Workload(Vector(QueryGraph(Vector("Entity", "Activity", "Agent"),
+                                              Vector((0, 1))) -> 1.0))
+    failAfter(Span(60, Seconds)) {
+      intercept[NoSuchElementException] {
+        ExperimentRunner.compareSystems(spark, d, edges, StreamOrder.Bfs, isolated, k = 4,
+          windowSize = 200, systems = Vector("Hash"))
+      }
     }
   }
 

@@ -98,6 +98,36 @@ class IptEvaluatorSpec extends SparkSpec {
     } finally df.unpersist()
   }
 
+  /** Reference: the weight table counted the way it was before automorphism
+    * division, from deduplicated matches. Each match's canonical edges are
+    * exploded and counted per (edge, query).
+    */
+  private def matchTable(edges: DataFrame, w: Workload): Map[(VId, VId), Vector[Long]] = {
+    val perEdge = w.queries.zipWithIndex.map { case ((q, _), i) =>
+      PatternMatcher.matches(edges, q)
+        .select(lit(i) as "q", explode(col("edges")) as "e")
+        .select(col("e.x") as "x", col("e.y") as "y", col("q"))
+    }.reduce(_ union _).groupBy("x", "y", "q").count().collect()
+    perEdge.groupBy(r => (r.getLong(0), r.getLong(1))).map { case (e, rs) =>
+      e -> Vector.tabulate(w.queries.size)(i =>
+        rs.find(_.getInt(2) == i).fold(0L)(_.getLong(3)))
+    }
+  }
+
+  /** The weight table of (`es`, `w`) equals [[matchTable]] edge by edge. */
+  private def perEdgeDifferential(es: Vector[LEdge], w: Workload): Unit = {
+    val df = edgesDf(es).cache()
+    try {
+      val t      = IptEvaluator.edgeWeights(df, w)
+      val byEdge = t.xs.indices.map(i => (t.xs(i), t.ys(i)) -> t.counts.map(_(i))).toMap
+      assert(byEdge.size == t.xs.length, "an edge appears twice in the table")
+      val ref = matchTable(df, w)
+      assert(ref.nonEmpty)
+      assert(byEdge.keySet == ref.keySet)
+      ref.foreach { case (e, c) => assert(byEdge(e) == c, s"edge $e") }
+    } finally df.unpersist()
+  }
+
   /** One random k-way map over the vertices of `es` per k in `ks`. */
   private def randomMaps(es: Vector[LEdge], ks: Seq[Int], seed: Int): Seq[Map[VId, Int]] = {
     val rnd   = new scala.util.Random(seed)
@@ -147,11 +177,28 @@ class IptEvaluatorSpec extends SparkSpec {
     differential(g, Workload(gPatterns.map(_ -> 1.0)), randomMaps(g, Seq(2, 3, 4), seed = 5))
   }
 
+  private lazy val provgen = Datasets.provgen.generate(spark, 0.03).collect().toVector.map { r =>
+    LEdge(r.getAs[Long]("u"), r.getAs[String]("ul"), r.getAs[Long]("v"), r.getAs[String]("vl"))
+  }
+
   test("weight-table ipt equals brute force, the join reference and DuckDB on ProvGen") {
-    val es = Datasets.provgen.generate(spark, 0.03).collect().toVector.map { r =>
-      LEdge(r.getAs[Long]("u"), r.getAs[String]("ul"), r.getAs[Long]("v"), r.getAs[String]("vl"))
-    }
-    differential(es, Workloads.provgen, randomMaps(es, Seq(2, 4, 8), seed = 11))
+    differential(provgen, Workloads.provgen, randomMaps(provgen, Seq(2, 4, 8), seed = 11))
+  }
+
+  test("|Aut(q)| counts the label-preserving automorphisms of q") {
+    assert(NaiveIso.automorphismCount(q2) == 2)
+    assert(NaiveIso.automorphismCount(path("a", "b", "c")) == 1)
+    assert(NaiveIso.automorphismCount(star("Paper", "Author", "Author", "Author")) == 6)
+    assert(NaiveIso.automorphismCount(cycle("a", "b", "a", "b")) == 4)
+    assert(NaiveIso.automorphismCount(star("Album", "Artist", "Artist", "Label")) == 2)
+  }
+
+  test("the weight table equals the deduplicated-match count per edge on the §1 graph") {
+    perEdgeDifferential(g, Workload(gPatterns.map(_ -> 1.0)))
+  }
+
+  test("the weight table equals the deduplicated-match count per edge on ProvGen") {
+    perEdgeDifferential(provgen, Workloads.provgen)
   }
 
   test("workload evaluation weights per-query ipt by frequency") {
