@@ -72,10 +72,11 @@ object EqualOpportunism {
     * prefix; if every total is ≤ 0 (e.g. no match vertex is assigned yet),
     * the least-loaded partition wins its own rationed prefix. At least one
     * match is always chosen so the evicted edge itself is always placed.
+    * `fallbackWinner` is by-name: it is evaluated only when every bid is ≤ 0.
     */
   def allocate(state: PartitionState, matches: Vector[MotifMatch],
                params: Params = Params(),
-               fallbackWinner: Option[Int] = None,
+               fallbackWinner: => Option[Int] = None,
                neighbourN: (VId, Int) => Int = (_, _) => 0): Allocation = {
     require(matches.nonEmpty, "allocate requires at least one match")
     val sorted = matches.sortBy(m => (-m.support, m.size))

@@ -104,6 +104,7 @@ final class LoomPartitioner(
     val nMemo = scala.collection.mutable.Map.empty[VId, Array[Int]]
     def neighbourN(v: VId, pid: Int): Int =
       nMemo.getOrElseUpdate(v, adjacency.neighbourCounts(v, state))(pid)
+    // The fallback is by-name: ldgBestCluster runs only on zero-bid rounds.
     val alloc = EqualOpportunism.allocate(state, mE, eoParams,
                                           fallbackWinner = Some(ldgBestCluster(mE)),
                                           neighbourN = neighbourN)

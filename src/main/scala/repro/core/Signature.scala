@@ -71,9 +71,6 @@ object Signature {
         pool(values.size)
       })
     }
-
-    /** Labels registered so far, in registration order. */
-    def knownLabels: Vector[String] = synchronized(values.keys.toVector)
   }
 
   /** Map x into [1, p]: the paper does not consider 0 a valid factor and

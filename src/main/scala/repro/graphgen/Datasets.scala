@@ -15,7 +15,10 @@ final case class Dataset(name: String, schema: GraphSchema,
                          description: String) {
   def numLabels: Int = schema.numLabels
 
-  /** Edge DataFrame at scale factor sf (1.0 = this dataset's lite scale). */
+  /** Edge DataFrame at scale factor sf (1.0 = this dataset's lite scale).
+    * Runs a Spark job and returns the graph materialised and lineage-free in
+    * executor storage (see [[SchemaGraphGen.edges]]).
+    */
   def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L): DataFrame =
     SchemaGraphGen.edges(spark, schema,
                          math.max(16L, (nVertices * sf).toLong),

@@ -27,7 +27,24 @@ object SchemaGraphGen {
   private def u01(idCol: Column, seed: Long): Column =
     pmod(xxhash64(idCol, lit(seed)), lit(HashMod)).cast(DoubleType) / lit(HashMod.toDouble)
 
-  /** Generate the edge DataFrame for `schema` with ~n vertices and ~m edges. */
+  /** Generate the edge DataFrame for `schema` with ~n vertices and ~m edges.
+    *
+    * Generation runs a Spark job: the deduplicated frame is materialised with
+    * `localCheckpoint()` and returned lineage-free, a one-node plan over the
+    * stored blocks. Without the cut every later plan on the frame
+    * (`orderBy(rand)`, each self-join of the ipt table) carries the whole
+    * generator, which the driver re-analyses and every task deserialises. The
+    * blocks live in executor storage, so a lost executor loses the frame;
+    * every entry point runs Spark in local mode, where that cannot happen.
+    *
+    * Seeded random orders (`orderBy(rand(seed))`) depend on the partitions and
+    * on the row order within each, so both are fixed before the cut:
+    * `spark.sql.shuffle.partitions` hash partitions of (u, v), each sorted by
+    * the dedup. That is the dedup shuffle's own layout when adaptive execution
+    * does not coalesce it, as on a cached frame. An explicit count is never
+    * coalesced; a checkpoint of the bare dedup would be (64 partitions into 1
+    * on a tiny graph), which reorders every seeded random stream.
+    */
   def edges(spark: SparkSession, schema: GraphSchema, n: Long, m: Long,
             seed: Long = 7L): DataFrame = {
     val ranges      = schema.ranges(n)
@@ -73,12 +90,16 @@ object SchemaGraphGen {
 
     val raw = perType.reduce(_ unionAll _).where(col("a") =!= col("b"))
     // Canonicalise endpoint order (swap labels along with ids) and dedupe.
+    // An explicit partition count fixes the layout (see the scaladoc).
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
     raw.select(
       least(col("a"), col("b"))                                 as "u",
       when(col("a") < col("b"), col("al")).otherwise(col("bl")) as "ul",
       greatest(col("a"), col("b"))                              as "v",
       when(col("a") < col("b"), col("bl")).otherwise(col("al")) as "vl",
-    ).dropDuplicates("u", "v")
+    ).repartition(partitions, col("u"), col("v"))
+      .dropDuplicates("u", "v")
+      .localCheckpoint()
   }
 
   /** Vertex DataFrame `(vid, label)` for the schema's full id space. */

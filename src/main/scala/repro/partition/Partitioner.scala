@@ -38,10 +38,15 @@ final class PartitionState(val k: Int, val capacity: Double) {
   def sizes: Vector[Int] = counts.toVector
 
   /** Index of a least-loaded partition (lowest index on ties). */
-  def leastLoaded: Int = counts.indices.minBy(counts)
+  def leastLoaded: Int = {
+    var best = 0
+    var i    = 1
+    while (i < k) { if (counts(i) < counts(best)) best = i; i += 1 }
+    best
+  }
 
   /** Size of the smallest partition, floored at 1 (for ration computations). */
-  def minSizeFloored: Int = math.max(1, counts.min)
+  def minSizeFloored: Int = math.max(1, counts(leastLoaded))
 
   /** Total vertices assigned. */
   def totalAssigned: Int = counts.sum

@@ -102,6 +102,19 @@ class EqualOpportunismSpec extends SparkSpec {
     assert(out.winner == 1)
   }
 
+  test("the fallback winner is evaluated only when every bid is zero") {
+    val s = mkState(2, 1000, Vector(5, 8))
+    s.assign(1L, 1)
+    val positive = mkMatch(1.0, LEdge(1, "a", 2, "b"))
+    val out = allocate(s, Vector(positive),
+                       fallbackWinner = throw new AssertionError("fallback evaluated"))
+    assert(out.winner == 1 && !out.fallback)
+    var evaluated = 0
+    val zero = allocate(s, Vector(mkMatch(1.0, LEdge(50, "a", 51, "b"))),
+                        fallbackWinner = { evaluated += 1; Some(1) })
+    assert(zero.winner == 1 && zero.fallback && evaluated == 1)
+  }
+
   test("chosen matches are a support-sorted prefix") {
     val s  = mkState(2, 1000, Vector(0, 0))
     val e  = LEdge(1, "a", 2, "b")

@@ -1,5 +1,6 @@
 package repro.graphgen
 
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
@@ -69,11 +70,18 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("generation is deterministic in (sf, seed)") {
-    val a = Datasets.dblp.generate(spark, tinySf, seed = 3).collect().toSet
-    val b = Datasets.dblp.generate(spark, tinySf, seed = 3).collect().toSet
-    val c = Datasets.dblp.generate(spark, tinySf, seed = 4).collect().toSet
-    assert(a == b)
-    assert(a != c, "different seeds should give different graphs")
+    // Per partition and in row order: orderBy(rand(seed)) draws from both.
+    def partitions(seed: Long) =
+      Datasets.dblp.generate(spark, tinySf, seed).rdd.glom().collect().map(_.toVector).toVector
+    val a = partitions(3)
+    val c = partitions(4)
+    assert(a == partitions(3))
+    assert(a.flatten.toSet != c.flatten.toSet, "different seeds should give different graphs")
+  }
+
+  test("generate returns the graph lineage-free, as a single-leaf plan") {
+    val plan = Datasets.provgen.generate(spark, tinySf).queryExecution.optimizedPlan
+    assert(plan.isInstanceOf[LogicalRDD] && plan.children.isEmpty, plan.treeString)
   }
 
   test("realised edge counts are near the requested budget for all datasets") {

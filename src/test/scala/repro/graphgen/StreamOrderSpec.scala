@@ -35,6 +35,17 @@ class StreamOrderSpec extends SparkSpec {
     assert(a != c)
   }
 
+  test("random order of a tiny ProvGen graph matches its recorded hash") {
+    // Recorded from the generator's full lineage, before it ended in
+    // localCheckpoint() (SparkSpec's session; the same on 2 and 4 cores): the
+    // cut must keep the partitions and row order orderBy(rand(seed)) draws from.
+    val lines = StreamOrder.stream(edgesDf, StreamOrder.Random)
+      .map(e => s"${e.u} ${e.uLabel} ${e.v} ${e.vLabel}").mkString("\n")
+    val sha = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(lines.getBytes("UTF-8")).map("%02x".format(_)).mkString
+    assert(sha.take(16) == "a8929fadf04d204c", s"random stream hash ${sha.take(16)}")
+  }
+
   test("bfs and dfs are deterministic") {
     assert(StreamOrder.stream(edgesDf, StreamOrder.Bfs) ==
            StreamOrder.stream(edgesDf, StreamOrder.Bfs))

@@ -31,6 +31,11 @@ class PartitionerSpec extends SparkSpec {
     assert(s.sizes == Vector(2, 1, 0))
     assert(s.leastLoaded == 2)
     assert(s.totalAssigned == 3)
+    s.assign(4, 2)
+    assert(s.leastLoaded == 1, "lowest index wins ties")
+    assert(s.minSizeFloored == 1)
+    s.assign(5, 1); s.assign(6, 2)
+    assert(s.leastLoaded == 0 && s.minSizeFloored == 2)
   }
 
   test("PartitionState rejects out-of-range partitions") {
